@@ -464,17 +464,14 @@ var milkingBenchNetworks = []string{
 	"f8-autoliker.com", "myliker.com", "kdliker.com", "oneliker.com",
 }
 
-// newMilkingBenchStudy builds the fleet study; batch is the per-network
-// DeliveryBatchSize (0 = the batched default, negative = one transport
-// call per like, the pre-batch driver).
-func newMilkingBenchStudy(b *testing.B, batch int) *core.Study {
+// newMilkingBenchStudy builds the fleet study.
+func newMilkingBenchStudy(b *testing.B) *core.Study {
 	b.Helper()
 	study, err := core.NewStudy(workload.Options{
-		Scale:             4000,
-		MinMembers:        60,
-		Networks:          milkingBenchNetworks,
-		Seed:              1,
-		DeliveryBatchSize: batch,
+		Scale:      4000,
+		MinMembers: 60,
+		Networks:   milkingBenchNetworks,
+		Seed:       1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -483,13 +480,12 @@ func newMilkingBenchStudy(b *testing.B, batch int) *core.Study {
 }
 
 // milkRounds drives one milking round per iteration through milk and
-// reports likes/round (which must not move with the delivery mode: 464
-// on this fleet), the store's contended lock fraction, and shard-lock
-// acquisitions per round. The acquisition count is the deterministic
-// A/B signal between delivery modes: wall-clock differences drown in
-// host jitter on an uncontended box, but batched delivery takes one
-// lock scope per run instead of two stripes per like, which this metric
-// shows directly.
+// reports likes/round (which must not move with the driver: 464 on this
+// fleet), the store's contended lock fraction, and shard-lock
+// acquisitions per round. The acquisition count is deterministic: a
+// delivery burst takes one lock scope per same-shard run instead of two
+// stripes per like, which this metric shows directly where wall-clock
+// differences drown in host jitter.
 func milkRounds(b *testing.B, study *core.Study, milk func() []core.MilkResult) {
 	b.Helper()
 	acq0, _ := study.Scenario.Platform.Graph.Contention().Totals()
@@ -513,28 +509,18 @@ func milkRounds(b *testing.B, study *core.Study, milk func() []core.MilkResult) 
 }
 
 // BenchmarkMilkingSequential milks every network of the fleet one after
-// another with batching disabled — the pre-batch, pre-parallel driver
-// and the historical baseline: one transport call and two lock scopes
-// per like.
+// another: each sampled slice travels as one LikeBatch call into
+// AddLikeBatch applies.
 func BenchmarkMilkingSequential(b *testing.B) {
-	study := newMilkingBenchStudy(b, -1)
-	milkRounds(b, study, func() []core.MilkResult { return study.MilkAll(1) })
-}
-
-// BenchmarkMilkingBatched is the same sequential round with batched
-// delivery on (the default): bursts travel as ≤50-op batches into one
-// AddLikeBatch apply. Against BenchmarkMilkingSequential this isolates
-// what batching alone buys, with identical likes/round.
-func BenchmarkMilkingBatched(b *testing.B) {
-	study := newMilkingBenchStudy(b, 0)
+	study := newMilkingBenchStudy(b)
 	milkRounds(b, study, func() []core.MilkResult { return study.MilkAll(1) })
 }
 
 // BenchmarkMilkingParallel is the full production configuration: all
 // networks milked concurrently within each round by a GOMAXPROCS-bounded
-// worker pool, each burst batched, against the sharded store.
+// worker pool, against the sharded store.
 func BenchmarkMilkingParallel(b *testing.B) {
-	study := newMilkingBenchStudy(b, 0)
+	study := newMilkingBenchStudy(b)
 	milkRounds(b, study, func() []core.MilkResult { return study.MilkAllParallel(1, 0) })
 }
 

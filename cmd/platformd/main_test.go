@@ -95,9 +95,10 @@ func TestObservabilityScrape(t *testing.T) {
 	}
 
 	_, tracesBody := get("/debug/traces")
-	// Delivery batches by default, so the burst's traced chunk roots at
-	// graphapi.like_batch; the per-op like series above still prove the
-	// batched path records op="like" metrics exactly.
+	// Delivery fires each sampled slice as one LikeBatch call, so the
+	// burst's traced call roots at graphapi.like_batch; the per-op like
+	// series above still prove the batched path records op="like"
+	// metrics exactly.
 	for _, want := range []string{"collusion.deliver", "graphapi.like_batch", "oauth.validate", "shard.apply", "milk.round"} {
 		if !strings.Contains(tracesBody, `"name":"`+want+`"`) {
 			t.Errorf("/debug/traces missing span %q", want)

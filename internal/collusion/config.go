@@ -107,17 +107,6 @@ type Config struct {
 	// PremiumPlans are the paid tiers on offer.
 	PremiumPlans []Plan
 
-	// DeliveryBatchSize is how many likes of a burst are coalesced into
-	// one batched transport call when the client supports batching
-	// (platform.BatchClient). 0 selects the default of 50, the Graph
-	// API's batch cap; negative disables batching so every like takes
-	// its own round trip.
-	DeliveryBatchSize int
-	// DeliveryWorkers bounds the goroutines firing one burst's batches
-	// in parallel. 0 selects the default of 4; 1 keeps bursts
-	// sequential. Irrelevant when batching is disabled.
-	DeliveryWorkers int
-
 	// Seed makes the network's sampling deterministic.
 	Seed int64
 }
@@ -138,12 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if len(c.IPs) == 0 {
 		c.IPs = []string{"192.0.2.1"}
-	}
-	if c.DeliveryBatchSize == 0 {
-		c.DeliveryBatchSize = 50
-	}
-	if c.DeliveryWorkers <= 0 {
-		c.DeliveryWorkers = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -1,7 +1,6 @@
 package collusion
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/platform"
@@ -46,22 +45,13 @@ func (n *Network) LinkPlatform(name string, client platform.Client, appID, appSe
 	if !ok {
 		return fmt.Errorf("collusion: transport for %q cannot exchange authorization codes", name)
 	}
-	ctxClient, _ := client.(platform.ContextClient)
-	batchClient, _ := client.(platform.BatchClient)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.cross == nil {
 		n.cross = make(map[string]*crossBinding, 1)
 	}
 	n.cross[name] = &crossBinding{
-		target: target{
-			name:        name,
-			client:      client,
-			ctxClient:   ctxClient,
-			batchClient: batchClient,
-			pool:        NewTokenPool(),
-			cross:       true,
-		},
+		target:      newTarget(name, client, NewTokenPool(), true),
 		exchanger:   exchanger,
 		appID:       appID,
 		appSecret:   appSecret,
@@ -143,9 +133,7 @@ func (n *Network) RequestCrossLikes(platformName, accountID, postID, captchaAnsw
 	n.mu.Unlock()
 	quota := n.likesFor(accountID)
 	t := b.target
-	delivered := n.deliver(nil, t, quota, accountID, false, postID, func(ctx context.Context, s Sampled, ip string) error {
-		return n.like(ctx, t, s.Token, postID, ip)
-	})
+	delivered := n.deliver(nil, t, quota, accountID, false, n.likeBurst(t, postID))
 	return delivered, nil
 }
 

@@ -60,7 +60,7 @@ type Stats struct {
 // transport views, the token pool sampled, and whether the burst counts
 // as cross-platform activity. The primary platform and every linked
 // companion platform are both expressed as targets, so the delivery
-// engine — sampling, attempt budget, batching, outcome bookkeeping — is
+// engine — sampling, attempt budget, bursts, outcome bookkeeping — is
 // written once and runs identically against either.
 type target struct {
 	name        string // platform name; "" for the primary platform
@@ -71,21 +71,21 @@ type target struct {
 	cross       bool
 }
 
+// newTarget builds a target over client, resolving the transport's
+// optional ContextClient and BatchClient views once.
+func newTarget(name string, client platform.Client, pool *TokenPool, cross bool) target {
+	ctxClient, _ := client.(platform.ContextClient)
+	batchClient, _ := client.(platform.BatchClient)
+	return target{name: name, client: client, ctxClient: ctxClient, batchClient: batchClient, pool: pool, cross: cross}
+}
+
 // Network is one collusion network instance: token pool plus delivery
 // engine plus site rules. It is safe for concurrent use.
 type Network struct {
 	cfg    Config
 	clock  simclock.Clock
 	client platform.Client
-	// ctxClient is client's ContextClient view when the transport supports
-	// trace propagation (both built-in transports do), else nil.
-	ctxClient platform.ContextClient
-	// batchClient is client's BatchClient view when the transport can
-	// deliver homogeneous like bursts in one call, else nil. Delivery
-	// falls back to per-call likes when nil or when the config disables
-	// batching.
-	batchClient platform.BatchClient
-	epoch       time.Time
+	epoch  time.Time
 
 	// Telemetry, wired by SetObserver; all instruments are nil-safe
 	// no-ops until then. Counters are pre-bound to this network's name so
@@ -125,12 +125,7 @@ type Network struct {
 
 // primary returns the target for the network's home platform.
 func (n *Network) primary() target {
-	return target{
-		client:      n.client,
-		ctxClient:   n.ctxClient,
-		batchClient: n.batchClient,
-		pool:        n.pool,
-	}
+	return newTarget("", n.client, n.pool, false)
 }
 
 type captchaChallenge struct {
@@ -141,14 +136,10 @@ type captchaChallenge struct {
 // client. The construction instant becomes day 0 for outage scheduling.
 func NewNetwork(cfg Config, clock simclock.Clock, client platform.Client) *Network {
 	cfg = cfg.withDefaults()
-	ctxClient, _ := client.(platform.ContextClient)
-	batchClient, _ := client.(platform.BatchClient)
 	return &Network{
 		cfg:           cfg,
 		clock:         clock,
 		client:        client,
-		ctxClient:     ctxClient,
-		batchClient:   batchClient,
 		epoch:         clock.Now(),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		pool:          NewTokenPool(),
@@ -407,9 +398,7 @@ func (n *Network) RequestLikes(accountID, postID, captchaAnswer string) (int, er
 	n.mu.Unlock()
 	quota := n.likesFor(accountID)
 	t := n.primary()
-	delivered := n.deliver(nil, t, quota, accountID, false, postID, func(ctx context.Context, s Sampled, ip string) error {
-		return n.like(ctx, t, s.Token, postID, ip)
-	})
+	delivered := n.deliver(nil, t, quota, accountID, false, n.likeBurst(t, postID))
 	return delivered, nil
 }
 
@@ -444,13 +433,11 @@ func (n *Network) RequestComments(accountID, postID, captchaAnswer string) (int,
 	n.stats.CommentRequests++
 	n.mu.Unlock()
 	t := n.primary()
-	delivered := n.deliver(nil, t, n.cfg.CommentsPerRequest, accountID, true, "", func(ctx context.Context, s Sampled, ip string) error {
+	delivered := n.deliver(nil, t, n.cfg.CommentsPerRequest, accountID, true, n.commentBurst(t, postID, func() string {
 		n.mu.Lock()
-		msg := n.cfg.CommentDictionary[n.rng.Intn(len(n.cfg.CommentDictionary))]
-		n.mu.Unlock()
-		_, err := n.comment(ctx, t, s.Token, postID, msg, ip)
-		return err
-	})
+		defer n.mu.Unlock()
+		return n.cfg.CommentDictionary[n.rng.Intn(len(n.cfg.CommentDictionary))]
+	}))
 	return delivered, nil
 }
 
@@ -474,29 +461,30 @@ func (n *Network) RequestCustomComments(accountID, postID, message, captchaAnswe
 	n.stats.CommentRequests++
 	n.mu.Unlock()
 	t := n.primary()
-	delivered := n.deliver(nil, t, count, accountID, true, "", func(ctx context.Context, s Sampled, ip string) error {
-		_, err := n.comment(ctx, t, s.Token, postID, message, ip)
-		return err
-	})
+	delivered := n.deliver(nil, t, count, accountID, true, n.commentBurst(t, postID, func() string { return message }))
 	return delivered, nil
 }
+
+// burst fires one sampled slice of a delivery and returns one error per
+// action, aligned with sampled (nil = delivered). ctx traces the first
+// action; rest carries the others with span creation suppressed.
+type burst func(ctx, rest context.Context, sampled []Sampled) []error
 
 // deliver samples tokens from the target's pool and fires one action per
 // token at the target's platform, handling failures: dead tokens are
 // dropped from that pool, rate limiting is recorded and may trigger
 // sampling adaptation. Failed draws are replaced with fresh samples
-// within a bounded attempt budget (2× the quota), which is what softens
-// the impact of partial token invalidation: the engine burns through dead
-// tokens to keep its per-request quota, shrinking its pool in the process
-// (the gradual-dip-then-recover dynamics of Figure 5).
+// within a bounded attempt budget, which is what softens the impact of
+// partial token invalidation: the engine burns through dead tokens to
+// keep its per-request quota, shrinking its pool in the process (the
+// gradual-dip-then-recover dynamics of Figure 5).
 //
-// likeObject, when non-empty, names the single object every action of the
-// burst likes; if the transport supports batching and the config has not
-// disabled it, the burst is fired as ≤DeliveryBatchSize batches across a
-// bounded worker pool instead of one call per action. Sampling, the
-// attempt budget, and all per-action bookkeeping are identical in both
-// modes — batching changes only how the actions travel.
-func (n *Network) deliver(ctx context.Context, t target, quota int, requester string, comment bool, likeObject string, act func(context.Context, Sampled, string) error) int {
+// Each sampled slice is fired as one burst, and only then is every
+// action's outcome applied, in sample order. One burst runs at a time,
+// so a seeded run evaluates the same likes in the same order on every
+// run — the defenses' thresholds, and the tokens the invalidation sweeps
+// catch, depend on that order.
+func (n *Network) deliver(ctx context.Context, t target, quota int, requester string, comment bool, fire burst) int {
 	now := n.clock.Now()
 	ctx, span := n.obs.T().StartSpanAt(ctx, "collusion.deliver", now)
 	if span != nil {
@@ -515,12 +503,11 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester st
 	n.mu.Unlock()
 
 	exclude := map[string]bool{requester: true}
-	// Trace the first action of the burst end to end (so every round
+	// Trace the first action of the delivery end to end (so every round
 	// yields one oauth → graphapi → shard chain under this span) and
-	// suppress span creation for the rest: a burst is hundreds of
+	// suppress span creation for the rest: a delivery is hundreds of
 	// identical calls, and tracing each one would dominate the round.
 	sampledCtx, restCtx := ctx, obs.UnsampledContext(ctx)
-	batched := !comment && likeObject != "" && t.batchClient != nil && n.cfg.DeliveryBatchSize > 0
 	delivered, attempts := 0, 0
 	// A 1.5× attempt budget: the engine replaces some failures but does
 	// not scour the pool indefinitely, so a half-invalidated pool shows a
@@ -538,25 +525,22 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester st
 		if len(sampled) == 0 {
 			break
 		}
-		if batched {
-			delivered += n.fireBatched(sampledCtx, restCtx, span, t, likeObject, sampled, exclude, &attempts, now)
-			continue
-		}
 		for _, s := range sampled {
 			exclude[s.AccountID] = true
-			attempts++
-			ip := n.pickIP()
-			actCtx := restCtx
-			if attempts == 1 {
-				actCtx = sampledCtx
-			}
-			delivered += n.applyOutcome(t, s, act(actCtx, s, ip), comment, now, span)
+		}
+		first := restCtx
+		if attempts == 0 {
+			first = sampledCtx
+		}
+		attempts += len(sampled)
+		errs := fire(first, restCtx, sampled)
+		for i, s := range sampled {
+			delivered += n.applyOutcome(t, s, errs[i], comment, now, span)
 		}
 	}
-	// Scrape counters update once per burst, not once per action: a burst
-	// is hundreds of likes racing across eight workers, and per-action
-	// Incs on the shared series were the hottest contended cache line in
-	// the instrumented profile. Totals stay exact.
+	// Scrape counters update once per delivery, not once per action:
+	// per-action Incs on the shared series were the hottest contended
+	// cache line in the instrumented profile. Totals stay exact.
 	if comment {
 		n.commentsSent.Add(int64(delivered))
 	} else {
@@ -570,11 +554,50 @@ func (n *Network) deliver(ctx context.Context, t target, quota int, requester st
 	return delivered
 }
 
+// likeBurst returns the burst that likes objectID from every sampled
+// token. The source IPs for the slice are drawn up front under one n.mu
+// scope, consuming the rng stream exactly as per-action pickIP calls
+// would. A BatchClient transport takes the whole slice in one call and
+// does its own chunking; any other transport gets one Like per action.
+func (n *Network) likeBurst(t target, objectID string) burst {
+	return func(ctx, rest context.Context, sampled []Sampled) []error {
+		ops := make([]platform.BatchLike, len(sampled))
+		n.mu.Lock()
+		for i, s := range sampled {
+			ops[i] = platform.BatchLike{Token: s.Token, IP: n.cfg.IPs[n.rng.Intn(len(n.cfg.IPs))]}
+		}
+		n.mu.Unlock()
+		if t.batchClient != nil {
+			return t.batchClient.LikeBatch(ctx, objectID, ops)
+		}
+		errs := make([]error, len(ops))
+		for i, op := range ops {
+			errs[i] = n.like(ctx, t, op.Token, objectID, op.IP)
+			ctx = rest
+		}
+		return errs
+	}
+}
+
+// commentBurst returns the burst that comments on postID from every
+// sampled token, drawing each action's source IP and then its text (from
+// message) in turn — the rng interleaving the comment goldens pin.
+func (n *Network) commentBurst(t target, postID string, message func() string) burst {
+	return func(ctx, rest context.Context, sampled []Sampled) []error {
+		errs := make([]error, len(sampled))
+		for i, s := range sampled {
+			ip := n.pickIP()
+			_, errs[i] = n.comment(ctx, t, s.Token, postID, message(), ip)
+			ctx = rest
+		}
+		return errs
+	}
+}
+
 // applyOutcome applies one action's bookkeeping — attempt/delivery stats,
 // failure-code dispatch, dead-token drops, rate-limit notes — and returns
-// 1 when the action was delivered. Both delivery modes funnel every
-// action through here, in sample order, so batching cannot drift from the
-// sequential path's Figure 5 dynamics.
+// 1 when the action was delivered. deliver funnels every action through
+// here, in sample order, once its burst has returned.
 //
 // Failure dispatch is by provider-neutral kind, not numeric code: the
 // engine reacts identically to a dead token whether the platform says
@@ -632,64 +655,6 @@ func (n *Network) applyOutcome(t target, s Sampled, err error, comment bool, now
 	return 0
 }
 
-// fireBatched delivers one sampled slice as ≤DeliveryBatchSize chunks,
-// fanned across at most DeliveryWorkers goroutines, then replays every
-// per-action outcome through applyOutcome in sample order. The IPs for
-// the whole slice are drawn up front under one n.mu scope, consuming the
-// rng stream exactly as per-action pickIP calls would.
-func (n *Network) fireBatched(sampledCtx, restCtx context.Context, span *obs.Span, t target, objectID string, sampled []Sampled, exclude map[string]bool, attempts *int, now time.Time) int {
-	first := *attempts == 0
-	ips := n.pickIPs(len(sampled))
-	ops := make([]platform.BatchLike, len(sampled))
-	for i, s := range sampled {
-		exclude[s.AccountID] = true
-		ops[i] = platform.BatchLike{Token: s.Token, IP: ips[i]}
-	}
-	*attempts += len(sampled)
-
-	size := n.cfg.DeliveryBatchSize
-	chunks := (len(ops) + size - 1) / size
-	errs := make([]error, len(ops))
-	fire := func(i int) {
-		start := i * size
-		end := start + size
-		if end > len(ops) {
-			end = len(ops)
-		}
-		ctx := restCtx
-		if first && i == 0 {
-			// Trace the first chunk of the burst end to end, like the
-			// sequential path traces its first action.
-			ctx = sampledCtx
-		}
-		copy(errs[start:end], t.batchClient.LikeBatch(ctx, objectID, ops[start:end]))
-	}
-	if workers := n.cfg.DeliveryWorkers; workers <= 1 || chunks <= 1 {
-		for i := 0; i < chunks; i++ {
-			fire(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := 0; i < chunks; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fire(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
-	delivered := 0
-	for i, s := range sampled {
-		delivered += n.applyOutcome(t, s, errs[i], false, now, span)
-	}
-	return delivered
-}
-
 // noteRateLimited records a rate-limit observation and flips the engine
 // to uniform sampling once the operator has seen enough distinct days of
 // throttling (the ~one week adaptation of Sec. 6.1).
@@ -708,18 +673,6 @@ func (n *Network) pickIP() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.cfg.IPs[n.rng.Intn(len(n.cfg.IPs))]
-}
-
-// pickIPs draws k source addresses under one lock scope, consuming the
-// same deterministic rng stream as k successive pickIP calls.
-func (n *Network) pickIPs(k int) []string {
-	out := make([]string, k)
-	n.mu.Lock()
-	for i := range out {
-		out[i] = n.cfg.IPs[n.rng.Intn(len(n.cfg.IPs))]
-	}
-	n.mu.Unlock()
-	return out
 }
 
 // BuyPlan upgrades a member to a premium plan (Sec. 5.1 monetization).

@@ -180,7 +180,6 @@ func runCrossPlatform(cfg CrossPlatformConfig, mode defense.SignalMode) (CrossPl
 		LikesPerRequest: 20,
 		IPs:             ips,
 		Seed:            cfg.Seed,
-		DeliveryWorkers: 1, // sequential bursts: bit-deterministic runs
 	}, clock, clientA)
 	net.SetObserver(pA.Obs)
 	if err := net.LinkPlatform(provB.Name(), clientB, appB.ID, appB.Secret, appB.RedirectURI); err != nil {

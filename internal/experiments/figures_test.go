@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -261,6 +262,35 @@ func TestFigure5ScaleInvariance(t *testing.T) {
 	}
 	if day(hub, 35) < day(hub, 29) {
 		t.Fatalf("no bounce-back at scale 200: day29=%.0f day35=%.0f", day(hub, 29), day(hub, 35))
+	}
+}
+
+// TestFigure5Deterministic pins that a seeded countermeasure campaign
+// repeats. Which tokens the day-23 and day-28 invalidation sweeps revoke
+// depends on the order the likes before them were evaluated in, so any
+// reordering in delivery shows up from day 23 on. Days 28 is the last
+// sweep day; scale 2000 keeps the run to about a second while still
+// catching delivery reordered by concurrent bursts (scale 4000 did not).
+func TestFigure5Deterministic(t *testing.T) {
+	cfg := Figure5Config{Scale: 2000, Seed: 1, Days: 28}
+	first, err := Figure5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Figure5(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range first.Daily {
+		b := second.Daily[name]
+		if !reflect.DeepEqual(a, b) {
+			for d := range a {
+				if a[d] != b[d] {
+					t.Fatalf("%s: day %d differs between runs: %v vs %v", name, d+1, a[d], b[d])
+				}
+			}
+			t.Fatalf("%s: daily series differ between runs", name)
+		}
 	}
 }
 

@@ -97,11 +97,11 @@ func (c *HTTPClient) AuthorizeImplicit(appID, redirectURI, accountID string, sco
 	q.Set("response_type", "token")
 	q.Set("account_id", accountID)
 	q.Set("scope", strings.Join(scopes, ","))
-	resp, err := c.http.Get(c.base + "/dialog/oauth?" + q.Encode())
+	resp, err := c.doCtx(nil, http.MethodGet, "/dialog/oauth", q, "")
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusFound {
 		return "", c.apiError(resp)
 	}
@@ -133,11 +133,11 @@ func (c *HTTPClient) AuthorizeCode(appID, redirectURI, accountID string, scopes 
 	q.Set("response_type", "code")
 	q.Set("account_id", accountID)
 	q.Set("scope", strings.Join(scopes, ","))
-	resp, err := c.http.Get(c.base + "/dialog/oauth?" + q.Encode())
+	resp, err := c.doCtx(nil, http.MethodGet, "/dialog/oauth", q, "")
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusFound {
 		return "", c.apiError(resp)
 	}
@@ -160,11 +160,11 @@ func (c *HTTPClient) ExchangeCode(appID, appSecret, redirectURI, code string) (s
 		"redirect_uri":  {redirectURI},
 		"code":          {code},
 	}
-	resp, err := c.do(http.MethodPost, "/oauth/access_token", form, "")
+	resp, err := c.doCtx(nil, http.MethodPost, "/oauth/access_token", form, "")
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return "", c.apiError(resp)
 	}
@@ -177,34 +177,10 @@ func (c *HTTPClient) ExchangeCode(appID, appSecret, redirectURI, code string) (s
 	return body.AccessToken, nil
 }
 
-// do performs a form POST (or GET when form is nil) with source-IP
-// attribution via X-Forwarded-For.
-func (c *HTTPClient) do(method, path string, form url.Values, ip string) (*http.Response, error) {
-	var req *http.Request
-	var err error
-	if method == http.MethodPost {
-		req, err = http.NewRequest(method, c.base+path, strings.NewReader(form.Encode()))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-		}
-	} else {
-		u := c.base + path
-		if len(form) > 0 {
-			u += "?" + form.Encode()
-		}
-		req, err = http.NewRequest(method, u, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ip != "" {
-		req.Header.Set("X-Forwarded-For", ip)
-	}
-	return c.http.Do(req)
-}
-
-// doCtx is do with trace propagation: the span carried by ctx (if any) is
-// advertised via the X-Trace-Id / X-Parent-Span headers.
+// doCtx performs a form POST (or GET when form is nil) with source-IP
+// attribution via X-Forwarded-For. The span carried by ctx (if any) is
+// advertised via the X-Trace-Id / X-Parent-Span headers. Callers release
+// the response with closeBody.
 func (c *HTTPClient) doCtx(ctx context.Context, method, path string, form url.Values, ip string) (*http.Response, error) {
 	var req *http.Request
 	var err error
@@ -233,13 +209,28 @@ func (c *HTTPClient) doCtx(ctx context.Context, method, path string, form url.Va
 	return c.http.Do(req)
 }
 
+// maxDrain bounds how much unread body closeBody reads to keep a
+// connection: a remainder longer than this costs the connection instead.
+const maxDrain = 64 << 10
+
+// closeBody drains what the caller left unread of resp's body, up to
+// maxDrain bytes, and closes it. net/http discards a connection whose
+// response body is closed with bytes still unread — a success body the
+// caller ignored, or what follows a decoded JSON value — so without the
+// drain such requests would each dial a new connection.
+func closeBody(resp *http.Response) {
+	// A failed drain only costs the connection; the caller has its result.
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+	resp.Body.Close()
+}
+
 // Me implements Client.
 func (c *HTTPClient) Me(token, ip string) (Profile, error) {
-	resp, err := c.do(http.MethodGet, "/me", url.Values{"access_token": {token}}, ip)
+	resp, err := c.doCtx(nil, http.MethodGet, "/me", url.Values{"access_token": {token}}, ip)
 	if err != nil {
 		return Profile{}, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return Profile{}, c.apiError(resp)
 	}
@@ -267,7 +258,7 @@ func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) er
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return c.apiError(resp)
 	}
@@ -277,8 +268,10 @@ func (c *HTTPClient) LikeCtx(ctx context.Context, token, objectID, ip string) er
 // LikeBatch implements BatchClient over POST /batch, chunked at the
 // provider's batch-op cap. Each op rides as one batched POST /{object}/likes
 // with its own token, and its source IP travels in the op's source_ip
-// field so attribution survives coalescing. A transport-level failure
-// marks every op of the failed chunk with the same error.
+// field so attribution survives coalescing. Chunks go out one after
+// another, in op order, and only the first carries ctx's trace. A
+// transport-level failure marks every op of the failed chunk with the
+// same error.
 func (c *HTTPClient) LikeBatch(ctx context.Context, objectID string, ops []BatchLike) []error {
 	errs := make([]error, len(ops))
 	for start := 0; start < len(ops); start += c.maxBatch {
@@ -287,11 +280,15 @@ func (c *HTTPClient) LikeBatch(ctx context.Context, objectID string, ops []Batch
 			end = len(ops)
 		}
 		c.likeBatchChunk(ctx, objectID, ops[start:end], errs[start:end])
+		if start == 0 {
+			ctx = obs.UnsampledContext(ctx)
+		}
 	}
 	return errs
 }
 
-// likeBatchChunk fires one ≤50-op chunk and fills errs (aligned with ops).
+// likeBatchChunk fires one chunk of at most maxBatch ops and fills errs
+// (aligned with ops).
 func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []BatchLike, errs []error) {
 	type batchOp struct {
 		Method      string `json:"method"`
@@ -323,7 +320,7 @@ func (c *HTTPClient) likeBatchChunk(ctx context.Context, objectID string, ops []
 		fail(err)
 		return
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		fail(c.apiError(resp))
 		return
@@ -379,7 +376,7 @@ func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip 
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return "", c.apiError(resp)
 	}
@@ -395,11 +392,11 @@ func (c *HTTPClient) CommentCtx(ctx context.Context, token, postID, message, ip 
 // Publish implements Client.
 func (c *HTTPClient) Publish(token, message, ip string) (string, error) {
 	form := url.Values{"access_token": {token}, "message": {message}}
-	resp, err := c.do(http.MethodPost, "/me/feed", form, ip)
+	resp, err := c.doCtx(nil, http.MethodPost, "/me/feed", form, ip)
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return "", c.apiError(resp)
 	}
@@ -423,13 +420,13 @@ func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 		if after != "" {
 			form.Set("after", after)
 		}
-		resp, err := c.do(http.MethodGet, "/"+objectID+"/likes", form, "")
+		resp, err := c.doCtx(nil, http.MethodGet, "/"+objectID+"/likes", form, "")
 		if err != nil {
 			return nil, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			err := c.apiError(resp)
-			resp.Body.Close()
+			closeBody(resp)
 			return nil, err
 		}
 		var body struct {
@@ -444,7 +441,7 @@ func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 			} `json:"paging"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
+		closeBody(resp)
 		if err != nil {
 			return nil, err
 		}
@@ -461,11 +458,11 @@ func (c *HTTPClient) LikesOf(token, objectID string) ([]LikeRecord, error) {
 
 // FeedOf implements Client via GET /me/feed.
 func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
-	resp, err := c.do(http.MethodGet, "/me/feed", url.Values{"access_token": {token}}, "")
+	resp, err := c.doCtx(nil, http.MethodGet, "/me/feed", url.Values{"access_token": {token}}, "")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.apiError(resp)
 	}
@@ -490,11 +487,11 @@ func (c *HTTPClient) FeedOf(token string) ([]PostRecord, error) {
 // FriendsOf lists the token account's friends via the /me/friends edge
 // (requires the user_friends scope).
 func (c *HTTPClient) FriendsOf(token, ip string) ([]Profile, error) {
-	resp, err := c.do(http.MethodGet, "/me/friends", url.Values{"access_token": {token}}, ip)
+	resp, err := c.doCtx(nil, http.MethodGet, "/me/friends", url.Values{"access_token": {token}}, ip)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.apiError(resp)
 	}
@@ -524,13 +521,13 @@ func (c *HTTPClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
 		if after != "" {
 			form.Set("after", after)
 		}
-		resp, err := c.do(http.MethodGet, "/"+postID+"/comments", form, "")
+		resp, err := c.doCtx(nil, http.MethodGet, "/"+postID+"/comments", form, "")
 		if err != nil {
 			return nil, err
 		}
 		if resp.StatusCode != http.StatusOK {
 			err := c.apiError(resp)
-			resp.Body.Close()
+			closeBody(resp)
 			return nil, err
 		}
 		var body struct {
@@ -547,7 +544,7 @@ func (c *HTTPClient) CommentsOf(token, postID string) ([]CommentRecord, error) {
 			} `json:"paging"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
+		closeBody(resp)
 		if err != nil {
 			return nil, err
 		}

@@ -15,8 +15,8 @@ import (
 // into both implementations and require identical observable state —
 // minted IDs, error sentinels, like counts, crawl order, activity logs,
 // pagination — so any semantic drift in the sharded store is caught
-// immediately. It is deliberately unexported and must only be used from
-// tests.
+// immediately. It lives in a _test.go file, so only test binaries
+// carry it.
 type referenceStore struct {
 	mu       sync.RWMutex
 	minter   *ids.Minter

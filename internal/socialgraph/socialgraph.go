@@ -20,7 +20,7 @@
 // simulated Graph API traffic from many goroutines (the parallel milking
 // driver, the organic background workload) scales with cores instead of
 // serializing on one mutex. See shard.go for the routing and lock-ordering
-// rules, and reference.go for the single-lock oracle the differential
+// rules, and reference_test.go for the single-lock oracle the differential
 // tests check this implementation against.
 package socialgraph
 

@@ -21,7 +21,10 @@ const (
 	ASGenericHost  netsim.ASN = 65000 // everyone else's hosting
 )
 
-// Options parameterises scenario construction.
+// Options parameterises scenario construction. Like delivery has no
+// options: every network fires each sampled slice as one burst through
+// its platform client, one burst at a time, so a seeded scenario repeats
+// exactly.
 type Options struct {
 	// Scale divides the paper's population numbers (memberships, IP pool
 	// sizes). 1 reproduces full scale; tests use 100–1000.
@@ -43,13 +46,6 @@ type Options struct {
 	// Shards pins the platform's social-graph stripe count; 0 selects
 	// the GOMAXPROCS-scaled default. Experiments sweep this.
 	Shards int
-	// DeliveryBatchSize and DeliveryWorkers are passed through to every
-	// network's delivery engine: 0 selects the collusion defaults
-	// (batched, 50-op chunks, 4 workers); a negative batch size disables
-	// batching so every like takes its own transport call. A/B
-	// benchmarks and the contention sweep flip these.
-	DeliveryBatchSize int
-	DeliveryWorkers   int
 	// RetentionWindow bounds the social graph's edge-history retention
 	// (see socialgraph.SetRetentionWindow); 0 keeps the default infinite
 	// window, so nothing is ever evicted and Table-4 outputs are
@@ -248,8 +244,6 @@ func (s *Scenario) buildNetwork(spec NetworkSpec, ordinal int64) (*NetworkInstan
 		IPs:                ips,
 		Seed:               s.Opts.Seed*1000 + ordinal,
 		AdsPerVisit:        3,
-		DeliveryBatchSize:  s.Opts.DeliveryBatchSize,
-		DeliveryWorkers:    s.Opts.DeliveryWorkers,
 	}
 	if spec.CommentsPerRequest > 0 {
 		cfg.CommentDictionary = GenerateCommentDictionary(spec.Name, spec.UniqueComments, s.Opts.Seed)
