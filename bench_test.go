@@ -329,7 +329,7 @@ func BenchmarkGraphAPILike(b *testing.B) {
 // BenchmarkAddLikeBatch measures the store-level batch apply: one burst
 // of 50 distinct likers on a fresh post per iteration, a single call and
 // one lock scope. BenchmarkGraphAPILike is the per-call comparator (one
-// like, two lock scopes, per call).
+// like per call, through the same apply as a one-op batch).
 func BenchmarkAddLikeBatch(b *testing.B) {
 	const burst = 50
 	w := newBenchWorld(b, burst)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/oauthsim"
@@ -305,5 +306,46 @@ func TestBatchLikesAcrossObjectsFallsBack(t *testing.T) {
 	}
 	if f.graph.LikeCount(f.post.ID) != 1 || f.graph.LikeCount(post2.ID) != 1 {
 		t.Fatal("cross-object batch lost a like")
+	}
+}
+
+func TestBatchBodyBounded(t *testing.T) {
+	// A /batch body larger than the provider's op cap can hold is refused
+	// with the invalid-param envelope before any op runs — even when the
+	// batch itself is a valid like within the op cap.
+	f, srv := newHTTPFixture(t)
+	tok := httpToken(t, f, srv)
+	limit := (f.api.Provider().Limits().MaxBatchOps + 1) * maxBatchOpBytes
+	form := url.Values{
+		"access_token": {tok},
+		"batch":        {fmt.Sprintf(`[{"method":"POST","relative_url":"%s/likes"}]`, f.post.ID)},
+		"pad":          {strings.Repeat("x", limit)},
+	}
+	resp, err := http.PostForm(srv.URL+"/batch", form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("oversized body status = %d, want 4xx", resp.StatusCode)
+	}
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != CodeInvalidParam {
+		t.Fatalf("error envelope = %+v, want code %d", env, CodeInvalidParam)
+	}
+	if n := f.graph.LikeCount(f.post.ID); n != 0 {
+		t.Fatalf("oversized batch applied %d likes", n)
+	}
+
+	// The same batch without the padding goes through.
+	delete(form, "pad")
+	if results := postBatch(t, srv.URL, tok, form.Get("batch")); results[0].Code != http.StatusOK {
+		t.Fatalf("bounded batch: %+v", results[0])
+	}
+	if n := f.graph.LikeCount(f.post.ID); n != 1 {
+		t.Fatalf("bounded batch applied %d likes, want 1", n)
 	}
 }

@@ -396,26 +396,28 @@ func (a *API) finish(span *obs.Span, op int, start time.Time, err error) {
 		return
 	}
 	end := a.clock.Now()
-	if err == nil {
-		inst := a.opInst[op]
-		if span != nil {
-			// Both fixed attrs land in one append: the root span's attrs
-			// slice is allocated exactly once per call.
-			span.SetAttr2("provider", a.provName, "code", "0")
-			span.EndAt(end)
-		}
-		inst.ok.Inc()
-		inst.latency.Observe(end.Sub(start).Seconds())
-		return
-	}
-	code := strconv.Itoa(ErrCode(err))
+	code := a.record(op, end.Sub(start).Seconds(), err)
+	// Both fixed attrs land in one append: the root span's attrs slice is
+	// allocated exactly once per call.
 	span.SetAttr2("provider", a.provName, "code", code)
 	span.EndAt(end)
+}
+
+// record counts one call of op by its error code and adds its latency
+// sample, returning the code label. Success takes the prebound series;
+// error codes take the slow path — they are rare. The latency family's
+// labels do not include the code, so the bound histogram serves denials
+// and errors too (rate limiting makes denials hot).
+func (a *API) record(op int, secs float64, err error) string {
+	inst := a.opInst[op]
+	inst.latency.Observe(secs)
+	if err == nil {
+		inst.ok.Inc()
+		return "0"
+	}
+	code := strconv.Itoa(ErrCode(err))
 	a.reqCount.Inc(a.provName, opNames[op], code)
-	// The latency family's labels do not include the code, so the
-	// success-path bound histogram serves denials and errors too — rate
-	// limiting makes denials hot (every over-quota call lands here).
-	a.opInst[op].latency.Observe(end.Sub(start).Seconds())
+	return code
 }
 
 // evaluate runs the policy chain under a defense.chain span and counts
@@ -475,15 +477,6 @@ type CallContext struct {
 // builds the policy request skeleton. at is the request timestamp the
 // caller already read from the clock.
 func (a *API) authenticate(ctx context.Context, c CallContext, verb Verb, needScope string, at time.Time) (Request, error) {
-	return a.authenticateMemo(ctx, c, verb, needScope, at, nil)
-}
-
-// authenticateMemo is authenticate with an optional batch-scoped lookup
-// cache (nil for single calls). Token validation, the secret proof, and
-// the scope check are always per call; only the registry read and the
-// source-IP→AS resolution — reads whose result is identical for every
-// op sharing an app or IP — go through the memo.
-func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, needScope string, at time.Time, memo *batchMemo) (Request, error) {
 	_, span := a.obs.T().StartSpanAt(ctx, "oauth.validate", at)
 	defer span.EndAt(at)
 	info, err := a.oauth.Validate(c.AccessToken)
@@ -497,12 +490,7 @@ func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, ne
 		span.SetAttr("app", info.AppID)
 		span.SetAttr("token", redact.Token(c.AccessToken))
 	}
-	var app apps.App
-	if memo != nil {
-		app, err = memo.app(a.registry, info.AppID)
-	} else {
-		app, err = a.registry.Get(info.AppID)
-	}
+	app, err := a.registry.Get(info.AppID)
 	if err != nil {
 		return Request{}, a.errAppNotFound
 	}
@@ -523,11 +511,7 @@ func (a *API) authenticateMemo(ctx context.Context, c CallContext, verb Verb, ne
 		At:       at,
 	}
 	if a.internet != nil && c.SourceIP != "" {
-		if memo != nil {
-			if asn, ok := memo.asn(a.internet, c.SourceIP); ok {
-				req.ASN = asn
-			}
-		} else if as, ok := a.internet.LookupASString(c.SourceIP); ok {
+		if as, ok := a.internet.LookupASString(c.SourceIP); ok {
 			req.ASN = as.Number
 		}
 	}
@@ -549,29 +533,24 @@ func (a *API) Me(c CallContext) (_ socialgraph.Account, err error) {
 	return acct, nil
 }
 
-// Like publishes a like on objectID on behalf of the token's account.
+// Like publishes a like on objectID on behalf of the token's account. It
+// is a one-op run of the like pipeline (likeOps) under its own
+// graphapi.like root span.
 func (a *API) Like(c CallContext, objectID string) (err error) {
 	ctx, span, start := a.begin(c.Ctx, opLike)
 	defer func() { a.finish(span, opLike, start, err) }()
 	span.SetAttr("object", objectID)
-	req, err := a.authenticate(ctx, c, VerbLike, a.scopePublish, start)
-	if err != nil {
-		return err
-	}
-	req.ObjectID = objectID
-	if d := a.evaluate(ctx, &req); !d.Allow {
-		return a.denialError(d)
-	}
-	meta := socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: c.SourceIP, At: req.At}
-	writeErr := a.applyShard(ctx, req.At, objectID, func() error {
-		return a.graph.AddLike(req.Token.AccountID, objectID, meta)
-	})
-	return a.likeWriteError(writeErr, objectID)
+	var (
+		ops   = [1]BatchLikeOp{{AccessToken: c.AccessToken, AppSecretProof: c.AppSecretProof, SourceIP: c.SourceIP}}
+		errs  [1]error
+		apply [1]socialgraph.LikeOp
+		werrs [1]error
+	)
+	a.likeOps(ctx, objectID, ops[:], errs[:], start, batchScratch{apply: apply[:], writeErrs: werrs[:]})
+	return errs[0]
 }
 
 // likeWriteError maps a store-level like error to its Graph API error.
-// Like and LikeBatch share this mapping so batched and sequential likes
-// surface identical codes.
 func (a *API) likeWriteError(writeErr error, objectID string) error {
 	switch {
 	case writeErr == nil:

@@ -436,6 +436,14 @@ type batchResult struct {
 	Body string `json:"body"`
 }
 
+// maxBatchOpBytes bounds the form-encoded size of one /batch op. A
+// request body may hold the provider's MaxBatchOps ops plus one op's
+// worth of envelope (the outer access_token and the form keys); a
+// larger body is refused with no op run, so a hostile client cannot make
+// the server buffer an arbitrary batch. A like op the HTTP client sends
+// encodes to well under 1 KiB.
+const maxBatchOpBytes = 4 << 10
+
 // batch implements POST /batch: a JSON array of operations executed
 // sequentially, each producing an embedded status code and body. The
 // access_token of the outer request is the default for operations that
@@ -445,12 +453,17 @@ func (h *httpAPI) batch(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "POST required"))
 		return
 	}
+	maxOps := h.api.prov.Limits().MaxBatchOps
+	r.Body = http.MaxBytesReader(w, r.Body, int64(maxOps+1)*maxBatchOpBytes)
+	if err := r.ParseForm(); err != nil {
+		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "bad batch body: %v", err))
+		return
+	}
 	var ops []batchOp
 	if err := json.Unmarshal([]byte(r.FormValue("batch")), &ops); err != nil {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "bad batch JSON: %v", err))
 		return
 	}
-	maxOps := h.api.prov.Limits().MaxBatchOps
 	if len(ops) == 0 || len(ops) > maxOps {
 		h.writeError(w, h.api.err(provider.KindInvalidParam, "GraphMethodException", "batch size must be 1..%d", maxOps))
 		return

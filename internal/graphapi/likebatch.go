@@ -4,119 +4,55 @@ import (
 	"context"
 	"strconv"
 	"sync"
+	"time"
 
-	"repro/internal/apps"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/socialgraph"
 )
 
-// Batched like endpoint. A collusion-network burst is N likes on one
-// object by N distinct tokens; LikeBatch runs that burst through the same
-// pipeline as N Like calls but with a single store apply.
+// The like pipeline. Like and LikeBatch both run likeOps; Like is a
+// one-op batch under its own graphapi.like root span.
 //
-// The invariant that may not move: every countermeasure sees the batch
+// The invariant that may not move: every countermeasure sees a batch
 // exactly as it would see N sequential calls. Each op is authenticated on
 // its own token and the policy chain is evaluated once per op with that
 // op's token, IP, and ASN, so rate limiters and SynchroTrap accumulate
 // identical per-token/per-IP counts (Figure 5 dynamics are built on
-// those counts). Only the store write is coalesced — one AddLikeBatch
-// under per-shard lock scopes instead of N two-stripe scopes.
+// those counts). Only the store write is coalesced — one
+// AddLikeBatchInto for every admitted op.
 
-// batchMemo caches the reads of authenticate whose result is identical
-// for every op sharing an app or a source IP: the registry lookup (a
-// lock, a map probe, and a defensive App clone per call) and the
-// IP→AS resolution (an address parse per call). A burst reuses a
-// handful of apps and IPs across dozens of ops, so the hit rate is
-// near-total. Safe because a batch observing one consistent app/AS view
-// is an admissible interleaving of the N equivalent sequential calls —
-// and no per-token or per-IP defense count flows through these reads.
-type batchMemo struct {
-	apps map[string]memoApp
-	asns map[string]memoASN
-}
-
-type memoApp struct {
-	app apps.App
-	err error
-}
-
-type memoASN struct {
-	asn netsim.ASN
-	ok  bool
-}
-
-func newBatchMemo() *batchMemo {
-	return &batchMemo{apps: make(map[string]memoApp, 2), asns: make(map[string]memoASN, 8)}
-}
-
-// batchScratch is LikeBatch's reusable working set: the apply queue, its
-// index map, the store's write-error slice, and the memo maps. Pooled so
-// a sustained burst stream (the scale loadgen drives thousands of
-// batches per simulated day) reuses one allocation per worker instead of
-// five per call. errs is NOT pooled — it is returned to the caller.
+// batchScratch is likeOps' working set: the apply queue and the store's
+// write-error slice, each with room for every op. LikeBatch takes it
+// from scratchPool; Like passes one-op arrays on its stack, so a single
+// like allocates nothing even where the pool drops values (the race
+// detector drops a quarter of Puts).
 type batchScratch struct {
 	apply     []socialgraph.LikeOp
-	applyIdx  []int
 	writeErrs []error
-	memo      batchMemo
 }
 
 // scratchPool recycles batchScratch values. A sync.Pool (unlike the
 // store's shard-local free lists) is the right shape here: batches
 // arrive on arbitrary goroutines, and the GC occasionally reclaiming an
-// idle scratch only costs a re-allocation — LikeBatch's gate budgets for
-// the returned errs slice, not for scratch reuse being perfect.
-var scratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		memo: batchMemo{apps: make(map[string]memoApp, 2), asns: make(map[string]memoASN, 8)},
-	}
-}}
+// idle scratch only costs a re-allocation.
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// get returns scratch with empty slices (capacity retained) and cleared
-// memo maps, sized for n ops.
+// getScratch returns pooled scratch with room for n ops.
 func getScratch(n int) *batchScratch {
 	s := scratchPool.Get().(*batchScratch)
-	if cap(s.apply) < n {
-		s.apply = make([]socialgraph.LikeOp, 0, n)
-		s.applyIdx = make([]int, 0, n)
+	if len(s.apply) < n {
+		s.apply = make([]socialgraph.LikeOp, n)
 		s.writeErrs = make([]error, n)
 	}
-	s.apply = s.apply[:0]
-	s.applyIdx = s.applyIdx[:0]
 	return s
 }
 
-// put clears the scratch's pointer-bearing state (tokens, app records,
-// write errors must not outlive the batch in a pool) and recycles it.
+// putScratch clears the scratch's pointer-bearing state (tokens, app IDs,
+// and write errors must not outlive the call in a pool) and recycles it.
 func putScratch(s *batchScratch) {
-	clear(s.apply[:cap(s.apply)])
-	clear(s.applyIdx[:cap(s.applyIdx)])
-	clear(s.writeErrs[:cap(s.writeErrs)])
-	clear(s.memo.apps)
-	clear(s.memo.asns)
+	clear(s.apply)
+	clear(s.writeErrs)
 	scratchPool.Put(s)
-}
-
-func (m *batchMemo) app(r *apps.Registry, id string) (apps.App, error) {
-	if e, ok := m.apps[id]; ok {
-		return e.app, e.err
-	}
-	app, err := r.Get(id)
-	m.apps[id] = memoApp{app: app, err: err}
-	return app, err
-}
-
-func (m *batchMemo) asn(internet *netsim.Internet, ip string) (netsim.ASN, bool) {
-	if e, ok := m.asns[ip]; ok {
-		return e.asn, e.ok
-	}
-	var e memoASN
-	if as, ok := internet.LookupASString(ip); ok {
-		e = memoASN{asn: as.Number, ok: true}
-	}
-	m.asns[ip] = e
-	return e.asn, e.ok
 }
 
 // BatchLikeOp is one like in a batch: the op's bearer token, its
@@ -147,25 +83,41 @@ func (a *API) LikeBatch(ctx context.Context, objectID string, ops []BatchLikeOp)
 		span.SetAttr("object", objectID)
 		span.SetAttr("ops", strconv.Itoa(len(ops)))
 	}
-	unsampled := obs.UnsampledContext(ctx)
 	as := a.allocs.Begin(ctx, "graphapi.like_batch")
-
-	// Phase 1: authenticate and policy-check every op in order. Ops that
-	// clear the chain queue for the store apply; the rest already carry
-	// their error. All working slices and the memo come from the scratch
-	// pool.
 	scratch := getScratch(len(ops))
-	defer putScratch(scratch)
-	apply := scratch.apply
-	applyIdx := scratch.applyIdx
-	memo := &scratch.memo
+	a.likeOps(ctx, objectID, ops, errs, start, *scratch)
+	putScratch(scratch)
+	as.End(len(ops))
+	end := a.clock.Now()
+	if span != nil {
+		span.SetAttr("code", "0")
+		span.EndAt(end)
+	}
+	if a.obs != nil {
+		// The exact per-op series N sequential Like calls would record.
+		secs := end.Sub(start).Seconds()
+		for _, err := range errs {
+			a.record(opLike, secs, err)
+		}
+	}
+	return errs
+}
+
+// likeOps is the like pipeline: it authenticates and policy-checks every
+// op in order, then applies everything the chain admitted in one store
+// call, writing one error per op into errs (aligned with ops, and nil on
+// entry). Op 0 runs under ctx, so its oauth.validate and defense.chain
+// spans join the caller's trace; the rest run unsampled. The unsampled
+// context is only derived for a second op — deriving it allocates.
+func (a *API) likeOps(ctx context.Context, objectID string, ops []BatchLikeOp, errs []error, start time.Time, scratch batchScratch) {
+	opCtx := ctx
+	n := 0 // ops admitted so far: scratch.apply[:n]
 	for i, op := range ops {
-		opCtx := ctx
-		if i > 0 {
-			opCtx = unsampled
+		if i == 1 {
+			opCtx = obs.UnsampledContext(ctx)
 		}
 		cc := CallContext{AccessToken: op.AccessToken, AppSecretProof: op.AppSecretProof, SourceIP: op.SourceIP}
-		req, err := a.authenticateMemo(opCtx, cc, VerbLike, a.scopePublish, start, memo)
+		req, err := a.authenticate(opCtx, cc, VerbLike, a.scopePublish, start)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -175,54 +127,33 @@ func (a *API) LikeBatch(ctx context.Context, objectID string, ops []BatchLikeOp)
 			errs[i] = a.denialError(d)
 			continue
 		}
-		apply = append(apply, socialgraph.LikeOp{
+		scratch.apply[n] = socialgraph.LikeOp{
 			AccountID: req.Token.AccountID,
 			ObjectID:  objectID,
 			Meta:      socialgraph.WriteMeta{AppID: req.App.ID, SourceIP: op.SourceIP, At: req.At},
-		})
-		applyIdx = append(applyIdx, i)
-	}
-
-	// Phase 2: one batch apply for everything the chain allowed.
-	if len(apply) > 0 {
-		_, aspan := a.obs.T().StartSpanAt(ctx, "shard.apply", start)
-		if aspan != nil {
-			aspan.SetAttr("shard", strconv.Itoa(a.graph.ShardIndexOf(objectID)))
-			aspan.SetAttr("ops", strconv.Itoa(len(apply)))
 		}
-		bs := a.allocs.Begin(ctx, "shard.apply")
-		writeErrs := scratch.writeErrs[:len(apply)]
-		a.graph.AddLikeBatchInto(apply, writeErrs)
-		bs.End(len(apply))
-		aspan.EndAt(start)
-		for j, we := range writeErrs {
-			errs[applyIdx[j]] = a.likeWriteError(we, objectID)
-		}
+		n++
 	}
-
-	as.End(len(ops))
-	end := a.clock.Now()
+	if n == 0 {
+		return
+	}
+	_, span := a.obs.T().StartSpanAt(ctx, "shard.apply", start)
 	if span != nil {
-		span.SetAttr("code", "0")
-		span.EndAt(end)
+		// One append: the span's attrs slice is allocated exactly once.
+		span.SetAttr2("shard", strconv.Itoa(a.graph.ShardIndexOf(objectID)), "ops", strconv.Itoa(n))
 	}
-	if a.obs != nil {
-		// Record the exact per-op series N sequential Like calls would:
-		// one counter increment and one latency sample per op, keyed by
-		// that op's error code.
-		secs := end.Sub(start).Seconds()
-		inst := a.opInst[opLike]
-		for _, err := range errs {
-			if err == nil {
-				inst.ok.Inc()
-				inst.latency.Observe(secs)
-				continue
-			}
-			a.reqCount.Inc(a.provName, opNames[opLike], strconv.Itoa(ErrCode(err)))
-			// The latency family has no code label; the bound series
-			// covers failed ops too (rate-limit denials make this hot).
-			inst.latency.Observe(secs)
+	as := a.allocs.Begin(ctx, "shard.apply")
+	writeErrs := scratch.writeErrs[:n]
+	a.graph.AddLikeBatchInto(scratch.apply[:n], writeErrs)
+	as.End(n)
+	span.EndAt(start)
+	// The admitted ops are exactly those whose error is still nil; they
+	// were queued in op order, so the write errors map back in order.
+	j := 0
+	for i := range ops {
+		if errs[i] == nil {
+			errs[i] = a.likeWriteError(writeErrs[j], objectID)
+			j++
 		}
 	}
-	return errs
 }

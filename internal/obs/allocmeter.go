@@ -40,6 +40,13 @@ const (
 //   - The measurement itself may allocate a few objects (the
 //     metrics.Read sample buffer), biasing small windows upward by
 //     O(1) allocs. Per-op figures over a 50-like burst absorb this.
+//   - Small objects (up to 32 KiB) reach the counters late. The runtime
+//     adds a cached span's allocations to them only when the span is
+//     swapped out of the P's cache (runtime/mcache.go refill) or the
+//     cache is flushed; large objects are counted at allocation. A
+//     window can therefore read low or high by up to a span's worth of
+//     small objects per size class. The lag averages out across
+//     windows, so trend-watching holds; a single window is not exact.
 //
 // A nil *AllocMeter is a valid no-op.
 type AllocMeter struct {

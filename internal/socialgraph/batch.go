@@ -2,15 +2,16 @@ package socialgraph
 
 import "slices"
 
-// Batched like apply. A collusion-network burst is hundreds of likes on
-// one object, which under sequential AddLike costs two lock scopes per
-// action. AddLikeBatch amortises that: ops are split into maximal
+// The like apply. Every like the store takes goes through
+// AddLikeBatchInto — AddLike is a one-op batch. A collusion-network
+// burst is hundreds of likes on one object; ops are split into maximal
 // consecutive runs whose objects share a stripe, and each run is applied
 // under a single multi-stripe lock scope (the object stripe plus every
 // liker's account stripe, acquired in ascending index order exactly like
-// lockOrdered). Because runs are consecutive, the total apply order is
-// the ops' order, so per-op errors and final state — including
-// intra-batch duplicates — match N sequential AddLike calls exactly.
+// lockOrdered), so a burst costs one lock scope per run instead of one
+// per like. Because runs are consecutive, the total apply order is the
+// ops' order, so per-op errors and final state — including intra-batch
+// duplicates — match N sequential AddLike calls exactly.
 
 // LikeOp is one like in a batch: AccountID likes ObjectID, attributed to
 // Meta. Meta is per-op because each action in a delivery burst carries
@@ -32,8 +33,9 @@ func (s *Store) AddLikeBatch(ops []LikeOp) []error {
 
 // AddLikeBatchInto is AddLikeBatch writing per-op errors into a
 // caller-provided slice (len(errs) must be >= len(ops)), so callers that
-// pool their batch scratch (graphapi.LikeBatch, the loadgen) keep the
-// whole apply allocation-free. Entries [0, len(ops)) are overwritten.
+// pool or stack-allocate their scratch (graphapi's like pipeline,
+// AddLike) keep the whole apply allocation-free. Entries [0, len(ops))
+// are overwritten.
 func (s *Store) AddLikeBatchInto(ops []LikeOp, errs []error) {
 	for start := 0; start < len(ops); {
 		objIdx := s.shardIndex(ops[start].ObjectID)
@@ -48,10 +50,10 @@ func (s *Store) AddLikeBatchInto(ops []LikeOp, errs []error) {
 
 // applyLikeRun applies one run of likes whose objects live on stripe
 // objIdx under a single lock scope: the object stripe plus every liker's
-// account stripe, deduplicated and acquired in ascending index order —
-// the batch generalisation of addLikePair, held inline for the same
-// reason (no unlock closure, no heap escape). The stripe set lives in a
-// stack buffer for every batch the API layer emits (cap 50).
+// account stripe, deduplicated and acquired in ascending index order. It
+// is the store's only like apply. The scope is held inline (no unlock
+// closure, no heap escape), and the stripe set lives in a stack buffer
+// for every run of up to 63 likes.
 //
 //collusionvet:lockorder
 func (s *Store) applyLikeRun(run []LikeOp, errs []error, objIdx int) {

@@ -306,12 +306,12 @@ func (s *Store) lock(id string) *shard {
 	return s.lockIdx(s.shardIndex(id))
 }
 
-// The batch-apply generalisation of lockOrdered lives in batch.go
+// The like apply's generalisation of lockOrdered lives in batch.go
 // (applyLikeRun): it sorts and deduplicates the stripe set in place and
 // holds the whole scope inline instead of returning an unlock closure,
 // because the closure (and the heap escape it forces) was measurable on
-// the batched like path. The ascending rule is identical, so batch
-// scopes and single-write scopes compose deadlock-free.
+// the like path. The ascending rule is identical, so like scopes and the
+// other multi-stripe scopes compose deadlock-free.
 
 // lockOrdered write-locks the stripes owning the given IDs in ascending
 // shard-index order (duplicates collapse) and returns an unlock function

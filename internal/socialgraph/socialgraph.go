@@ -389,38 +389,17 @@ func (s *Store) PostsByAuthor(authorID string) []Post {
 
 // AddLike records a like by accountID on the object (post or page).
 // Likes are idempotent: liking an object twice returns ErrAlreadyLiked.
+// It is a one-op AddLikeBatchInto, so single and batched likes share one
+// locked apply (applyLikeRun).
 func (s *Store) AddLike(accountID, objectID string, meta WriteMeta) error {
-	return s.addLikePair(accountID, objectID, meta)
+	ops := [1]LikeOp{{AccountID: accountID, ObjectID: objectID, Meta: meta}}
+	var errs [1]error
+	s.AddLikeBatchInto(ops[:], errs[:])
+	return errs[0]
 }
 
-// addLikePair takes the liker's and object's stripes in ascending index
-// order, applies the like, and releases in reverse. The whole scope is
-// inline (no unlock closure): lockOrdered's returned func forced a heap
-// allocation per like, which is pure overhead on the hottest write path.
-//
-//collusionvet:lockorder
-func (s *Store) addLikePair(accountID, objectID string, meta WriteMeta) error {
-	ai := s.shardIndex(accountID)
-	oi := s.shardIndex(objectID)
-	lo, hi := ai, oi
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	s.lockIdx(lo)
-	if hi != lo {
-		s.lockIdx(hi)
-	}
-	err := likeLocked(s.shards[ai], s.shards[oi], accountID, objectID, meta)
-	if hi != lo {
-		s.shards[hi].mu.Unlock()
-	}
-	s.shards[lo].mu.Unlock()
-	return err
-}
-
-// likeLocked validates and applies one like. The caller must hold the
-// write locks of both shards; AddLike and AddLikeBatch share this core so
-// batched and sequential likes have identical semantics by construction.
+// likeLocked validates and applies one like. The caller (applyLikeRun,
+// the store's only like apply) must hold the write locks of both shards.
 //
 // The success path is allocation-free at steady state: the like history
 // and its chunks come from the shard free lists, and the activity entry
@@ -536,7 +515,9 @@ func (s *Store) AddComment(accountID, postID, message string, meta WriteMeta) (C
 }
 
 // addCommentPair is AddComment's lock scope: commenter and post stripes
-// taken in ascending index order, inline like addLikePair.
+// taken in ascending index order and released in reverse. The scope is
+// inline (no unlock closure): lockOrdered's returned func forces a heap
+// allocation per call.
 //
 //collusionvet:lockorder
 func (s *Store) addCommentPair(accountID, postID, message string, meta WriteMeta) (Comment, error) {
